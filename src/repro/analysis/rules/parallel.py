@@ -15,15 +15,16 @@ from typing import Iterator, Tuple
 from ..engine import (ModuleContext, Rule, call_name, is_mapper_receiver,
                       names_in, register)
 
-#: Modules whose TTI hot path is vectorised (``repro.lte.engine`` and
-#: friends): per-UE work there belongs in array operations over the
-#: parallel UE columns, not Python loops.  New array-backed modules
+#: Modules that hold the TTI loop and its grant kernels (``repro.lte.enb``
+#: and friends): per-UE work there belongs in array operations over the
+#: UE columns, or in the scalar lane whose loops are bounded by the
+#: lane crossover, not in unbounded Python loops.  New array-backed modules
 #: register themselves here; the shipped lint baseline stays empty, so
 #: a loop that must stay scalar carries an inline
 #: ``# repro: noqa[PAR004]`` with a justifying comment instead of a
 #: baseline entry.
 VECTORIZED_HOT_PATHS = frozenset({
-    "repro.lte.engine",
+    "repro.lte.enb",
     "repro.lte.vecsched",
     "repro.lte.tbs",
 })
@@ -31,6 +32,7 @@ VECTORIZED_HOT_PATHS = frozenset({
 #: Loop-variable names that signal per-UE / per-grant iteration.
 _PER_UE_NAMES = frozenset({
     "ue", "ctx", "context", "demand", "grant", "record", "allocation",
+    "slot", "rnti",
 })
 
 #: Modules whose *inference* hot path is vectorised (flattened forest
@@ -177,7 +179,8 @@ class PerUELoopRule(Rule):
     or grants re-introduces exactly that cost on the hottest path, and
     nothing but a benchmark would catch it.  Loops are recognised by
     their loop-variable names (``ue``, ``ctx``, ``demand``, ``grant``,
-    ``allocation``, ...) or by iterating ``<contexts>.values()``.
+    ``allocation``, ``slot``, ``rnti``, ...) or by iterating
+    ``<contexts>.values()``.
 
     Legitimate scalar loops — legacy-parity paths whose draw order is
     observable, or per-event work outside the steady state — carry an

@@ -13,7 +13,7 @@ from .cell import Cell, MobilityStep
 from .crc import crc16, crc24a, mask_crc_with_rnti, unmask_rnti
 from .dci import (DCIFormat, DCIMessage, DecodeError, Direction, EncodedDCI,
                   PDCCHTransmission)
-from .enb import ENodeB, UEContext
+from .enb import ENodeB, GrantBatch, UEContext
 from .epc import EPC
 from .identifiers import (CRNTI_MAX, CRNTI_MIN, IMSI, P_RNTI, SI_RNTI,
                           RNTIAllocator, SubscriberIdentity, TMSIAllocator,
@@ -24,19 +24,18 @@ from .obfuscation import (NO_OBFUSCATION, ObfuscationConfig,
 from .rrc import (ControlMessage, HandoverEvent, PagingMessage, RACHPreamble,
                   RandomAccessResponse, RRCConnectionRelease,
                   RRCConnectionRequest, RRCConnectionSetup)
-from .scheduler import (Allocation, CrossTraffic, Demand, MACScheduler,
-                        make_scheduler, scheduler_names)
+from .scheduler import CrossTraffic, make_scheduler, scheduler_names
 from .sim import SECOND_US, TTI_US, EventHandle, SimClock, seconds, to_seconds
 from .tbs import (MAX_MCS, MAX_PRB, N_ITBS, cqi_to_mcs, grant_for_bytes,
                   mcs_to_itbs, transport_block_bytes, transport_block_size)
 from .ue import UE, RRCState
 
 __all__ = [
-    "AppSessionHandle", "Allocation", "CaptureChannel", "Cell",
+    "AppSessionHandle", "CaptureChannel", "Cell",
     "ChannelProfile", "ControlMessage", "CrossTraffic", "CRNTI_MAX",
-    "CRNTI_MIN", "DCIFormat", "DCIMessage", "DecodeError", "Demand",
+    "CRNTI_MIN", "DCIFormat", "DCIMessage", "DecodeError",
     "Direction", "ENodeB", "EPC", "EncodedDCI", "EventHandle",
-    "HandoverEvent", "IMSI", "LTENetwork", "MACScheduler", "MAX_MCS",
+    "GrantBatch", "HandoverEvent", "IMSI", "LTENetwork", "MAX_MCS",
     "MAX_PRB", "MobilityStep", "N_ITBS", "NO_OBFUSCATION", "ObfuscationConfig",
     "ObfuscationStats", "P_RNTI", "PagingMessage",
     "PDCCHTransmission", "RACHPreamble", "RandomAccessResponse",

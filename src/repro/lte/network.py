@@ -31,7 +31,6 @@ from .channel import ChannelProfile
 from .obfuscation import ObfuscationConfig
 from .dci import Direction, PDCCHTransmission
 from .enb import ENodeB
-from .engine import resolve_engine
 from .epc import EPC
 from .identifiers import IMSI, make_imsi
 from .rrc import ControlMessage, HandoverEvent
@@ -107,24 +106,16 @@ class LTENetwork:
         description: str = "",
         channel: int = 0,
         obfuscation: Optional[ObfuscationConfig] = None,
-        engine: Optional[str] = None,
     ) -> Cell:
-        """Create a cell served by a new eNodeB.
-
-        ``engine`` selects the TTI-loop implementation: ``"vector"`` (the
-        batched array-backed engine, the default) or ``"legacy"`` (the
-        per-UE object loop).  Both emit bit-identical traces on a given
-        seed; ``REPRO_SIM_ENGINE`` overrides the default per process.
-        """
+        """Create a cell served by a new eNodeB."""
         if cell_id in self.cells:
             raise ValueError(f"cell {cell_id!r} already exists")
-        engine_cls = resolve_engine(engine)
-        enb = engine_cls(cell_id=cell_id, clock=self.clock,
-                         rng=self._spawn_rng(),
-                         channel_profile=channel_profile,
-                         scheduler_name=scheduler_name, total_prb=total_prb,
-                         inactivity_timeout_s=inactivity_timeout_s,
-                         cross_traffic=cross_traffic, obfuscation=obfuscation)
+        enb = ENodeB(cell_id=cell_id, clock=self.clock,
+                     rng=self._spawn_rng(),
+                     channel_profile=channel_profile,
+                     scheduler_name=scheduler_name, total_prb=total_prb,
+                     inactivity_timeout_s=inactivity_timeout_s,
+                     cross_traffic=cross_traffic, obfuscation=obfuscation)
         cell = Cell(cell_id=cell_id, enb=enb, description=description,
                     channel=channel)
         self.cells[cell_id] = cell
@@ -155,16 +146,15 @@ class LTENetwork:
     ) -> None:
         """Attach passive observers to one cell's radio feeds.
 
-        When ``pdcch_batch`` is given and the cell's engine emits
-        columnar :class:`~repro.lte.engine.GrantBatch` feeds, the batch
-        observer is registered *instead of* the scalar ``pdcch`` one, so
-        a sniffer never ingests the same grant twice.  On a legacy
-        engine the scalar observer is used as before.
+        ``pdcch_batch`` receives grants as columnar
+        :class:`~repro.lte.enb.GrantBatch` blocks; ``pdcch`` receives
+        each grant as an encoded :class:`PDCCHTransmission`.  When both
+        are given only the batch observer is registered, so a sniffer
+        never ingests the same grant twice.
         """
         cell = self._cell(cell_id)
-        batch_observers = getattr(cell.enb, "grant_batch_observers", None)
-        if pdcch_batch is not None and batch_observers is not None:
-            batch_observers.append(pdcch_batch)
+        if pdcch_batch is not None:
+            cell.enb.grant_observers.append(pdcch_batch)
         elif pdcch is not None:
             cell.enb.pdcch_observers.append(pdcch)
         if control is not None:

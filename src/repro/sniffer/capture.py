@@ -47,13 +47,8 @@ class CellSniffer:
     # -- wiring -------------------------------------------------------------------
 
     def attach(self, network: LTENetwork) -> "CellSniffer":
-        """Hook this sniffer onto its cell's radio feeds.
-
-        Registers both the scalar and the columnar PDCCH paths; the
-        network wires up whichever one the cell's engine emits.
-        """
-        network.observe(self.cell_id, pdcch=self.decoder.on_pdcch,
-                        control=self.on_control,
+        """Hook this sniffer onto its cell's columnar grant and control feeds."""
+        network.observe(self.cell_id, control=self.on_control,
                         pdcch_batch=self.decoder.on_pdcch_batch)
         return self
 
@@ -66,44 +61,37 @@ class CellSniffer:
                 tbs_bytes: int) -> None:
         """Raw-sink callback: append primitives into per-RNTI buffers."""
         self.tracker.on_dci(time_s, rnti)
-        builder = self._builders.get(rnti)
-        if builder is None:
-            builder = self._builders[rnti] = TraceBuilder()
-        builder.append(time_s, rnti, direction, tbs_bytes)
+        self._builder(rnti).append(time_s, rnti, direction, tbs_bytes)
 
-    def _on_dci_batch(self, time_s: float, rntis: np.ndarray,
+    def _on_dci_batch(self, times_s: np.ndarray, rntis: np.ndarray,
                       directions: np.ndarray,
                       tbs_bytes: np.ndarray) -> None:
         """Columnar sink: flush one grant batch into per-RNTI buffers.
 
-        The batch shares a timestamp, so splitting it by RNTI with one
-        stable argsort preserves each RNTI's record order exactly as the
-        per-record path would have appended it.
+        A stable split by RNTI preserves each RNTI's record order exactly
+        as the per-record path would have appended it.
         """
-        self.tracker.on_dci_batch(time_s, rntis)
-        if len(rntis) == 1:
-            # HARQ retransmissions arrive as single-record batches.
-            rnti = int(rntis[0])
-            builder = self._builders.get(rnti)
-            if builder is None:
-                builder = self._builders[rnti] = TraceBuilder()
-            builder.append(time_s, rnti, int(directions[0]),
-                           int(tbs_bytes[0]))
+        self.tracker.on_dci_columns(times_s, rntis)
+        first = rntis[0]
+        if bool((rntis == first).all()):
+            self._builder(int(first)).extend(times_s, rntis, directions,
+                                             tbs_bytes)
             return
         order = np.argsort(rntis, kind="stable")
         ordered = rntis[order]
-        boundaries = np.nonzero(np.diff(ordered))[0] + 1
-        times = np.full(len(rntis), time_s, dtype=np.float64)
-        for start, stop in zip(
-                np.concatenate(([0], boundaries)),
-                np.concatenate((boundaries, [len(ordered)]))):
-            rnti = int(ordered[start])
+        boundaries = np.flatnonzero(np.diff(ordered)) + 1
+        for start, stop in zip([0, *boundaries.tolist()],
+                               [*boundaries.tolist(), len(ordered)]):
             picks = order[start:stop]
-            builder = self._builders.get(rnti)
-            if builder is None:
-                builder = self._builders[rnti] = TraceBuilder()
-            builder.extend(times[:stop - start], rntis[picks],
-                           directions[picks], tbs_bytes[picks])
+            self._builder(int(ordered[start])).extend(
+                times_s[picks], rntis[picks], directions[picks],
+                tbs_bytes[picks])
+
+    def _builder(self, rnti: int) -> TraceBuilder:
+        builder = self._builders.get(rnti)
+        if builder is None:
+            builder = self._builders[rnti] = TraceBuilder()
+        return builder
 
     # -- extraction ---------------------------------------------------------------------
 

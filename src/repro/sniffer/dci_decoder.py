@@ -19,18 +19,17 @@ import numpy as np
 
 from .. import obs
 from ..lte.channel import CaptureChannel, ChannelProfile
-from ..lte.dci import (DCIFormat, DCIMessage, DecodeError, Direction,
-                       EncodedDCI, PDCCHTransmission)
+from ..lte.dci import DecodeError, Direction, EncodedDCI, PDCCHTransmission
 from ..lte.identifiers import CRNTI_MAX, CRNTI_MIN, is_crnti
-from ..lte.sim import to_seconds
+from ..lte.sim import SECOND_US, to_seconds
 from .trace import TraceRecord
 
 RecordSink = Callable[[TraceRecord], None]
 #: Primitive sink: ``(time_s, rnti, direction, tbs_bytes)`` — the hot
 #: path used by the sniffer's columnar builders (no per-DCI objects).
 RawSink = Callable[[float, int, int, int], None]
-#: Columnar sink: ``(time_s, rntis, directions, tbs_bytes)`` — one call
-#: per grant batch, arrays in emission order.
+#: Columnar sink: ``(times_s, rntis, directions, tbs_bytes)`` — one call
+#: per grant batch, equal-length arrays in emission order.
 RawBatchSink = Callable[[float, np.ndarray, np.ndarray, np.ndarray], None]
 
 
@@ -82,7 +81,7 @@ class DCIDecoder:
         """Register a primitive consumer ``(time_s, rnti, dir, tbs)``.
 
         ``batch`` optionally pairs a columnar counterpart: when the
-        decoder ingests a whole :class:`~repro.lte.engine.GrantBatch`
+        decoder ingests a whole :class:`~repro.lte.enb.GrantBatch`
         (:meth:`on_pdcch_batch`), the batch sink receives the surviving
         records as arrays in one call *instead of* per-record calls to
         ``sink`` — never both, so no record is delivered twice.
@@ -122,66 +121,60 @@ class DCIDecoder:
                 sink(record)
 
     def on_pdcch_batch(self, batch) -> None:
-        """Columnar observer: ingest one grant batch without per-DCI objects.
+        """Columnar observer: ingest a :class:`~repro.lte.enb.GrantBatch`.
 
         Two lanes, both record-for-record equivalent to feeding each
         grant through :meth:`on_pdcch`:
 
         * **clean channel** (no loss, no corruption): every grant is
           captured and decodes back to exactly the columns the engine
-          emitted, so the whole batch is accepted with array ops.  The
-          per-record capture draws are skipped — they are outcome-free
-          at zero loss/corruption, and the capture rng is private to
-          this decoder, so no other component sees the stream move.
-        * **lossy channel**: each record is materialised and routed
-          through the scalar path so loss/corruption draws and blind
-          decoding happen in exactly the legacy order.
+          emitted, so the batch is accepted with array ops and no DCI is
+          encoded or decoded.  The per-record capture draws are skipped —
+          they are outcome-free at zero loss/corruption, and the capture
+          rng is private to this decoder, so no other component sees the
+          stream move.
+        * **lossy channel**: each grant is encoded and routed through
+          :meth:`on_pdcch`, so the loss and corruption draws and the blind
+          decode happen record by record, in emission order.
         """
-        count = len(batch.rntis)
+        count = len(batch)
         if count == 0:
             return
         profile = self._capture._profile
         if profile.capture_loss > 0.0 or profile.corruption_prob > 0.0:
-            fmt = (DCIFormat.FORMAT_1A
-                   if batch.direction is Direction.DOWNLINK
-                   else DCIFormat.FORMAT_0)
-            for rnti, mcs, n_prb in zip(batch.rntis.tolist(),
-                                        batch.mcs.tolist(),
-                                        batch.n_prb.tolist()):
-                dci = DCIMessage(fmt=fmt, rnti=rnti, mcs=mcs, n_prb=n_prb)
-                self.on_pdcch(PDCCHTransmission(time_us=batch.time_us,
-                                                encoded=dci.encode()))
+            for transmission in batch.transmissions():
+                self.on_pdcch(transmission)
             return
         self._capture.captured += count
         self._captured_obs.inc(count)
-        rntis = batch.rntis
-        tbs = batch.tbs_bytes
+        time_us, rntis = batch.time_us, batch.rntis
+        directions, tbs = batch.direction, batch.tbs_bytes
         if self._drop_non_crnti:
             keep = (rntis >= CRNTI_MIN) & (rntis <= CRNTI_MAX)
             if not keep.all():
-                dropped = count - int(keep.sum())
-                self._rejected.inc(dropped)
-                rntis = rntis[keep]
-                tbs = tbs[keep]
+                self._rejected.inc(count - int(keep.sum()))
+                time_us, rntis = time_us[keep], rntis[keep]
+                directions, tbs = directions[keep], tbs[keep]
         kept = len(rntis)
         if kept == 0:
             return
         self._decoded.inc(kept)
-        time_s = to_seconds(batch.time_us)
-        directions = np.full(kept, int(batch.direction), dtype=np.int64)
+        # Same IEEE division as to_seconds() on each record.
+        times_s = time_us / SECOND_US
         for raw_sink, batch_sink in self._raw_sinks:
             if batch_sink is not None:
-                batch_sink(time_s, rntis, directions, tbs)
-            else:
-                direction_int = int(batch.direction)
-                for index in range(kept):
-                    raw_sink(time_s, int(rntis[index]), direction_int,
-                             int(tbs[index]))
+                batch_sink(times_s, rntis, directions, tbs)
+                continue
+            for record in zip(times_s.tolist(), rntis.tolist(),
+                              directions.tolist(), tbs.tolist()):
+                raw_sink(*record)
         if self._sinks:
-            for index in range(kept):
-                record = TraceRecord(time_s=time_s, rnti=int(rntis[index]),
-                                     direction=batch.direction,
-                                     tbs_bytes=int(tbs[index]))
+            for time_s, rnti, direction, size in zip(
+                    times_s.tolist(), rntis.tolist(), directions.tolist(),
+                    tbs.tolist()):
+                record = TraceRecord(time_s=time_s, rnti=rnti,
+                                     direction=Direction(direction),
+                                     tbs_bytes=size)
                 for sink in self._sinks:
                     sink(record)
 

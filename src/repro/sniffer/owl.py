@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from .. import obs
-from ..lte.identifiers import is_crnti
+from ..lte.identifiers import CRNTI_MAX, CRNTI_MIN, is_crnti
 from ..lte.rrc import (ControlMessage, RandomAccessResponse,
                        RRCConnectionRelease)
 from ..lte.sim import to_seconds
@@ -146,6 +146,95 @@ class OWLTracker:
             if candidate.hits >= self._threshold:
                 self._confirm(rnti, now)
                 self._active[rnti].records += remaining
+
+    def on_dci_columns(self, times_s, rntis) -> None:
+        """Feed records spanning many instants, in non-decreasing time order.
+
+        State-for-state equivalent to calling :meth:`on_dci` once per
+        record.  With a confirm threshold of 1 and no pending candidate,
+        only two time-driven effects exist: the expiry of an active RNTI
+        and the candidate sweep, which with no candidates merely moves
+        the sweep clock.  The records are therefore cut into segments
+        within which no active RNTI can expire — every instant ``t``
+        satisfies ``t - floor <= expiry_s``, ``floor`` being the
+        segment's first instant or the oldest ``last_seen_s`` of the
+        active set, whichever is earlier.  Each segment is ingested in
+        bulk (the sweep clock advanced in closed form, per-RNTI hits
+        collapsed), while a record at which something does expire, and
+        any stream under other settings, goes through :meth:`on_dci`.
+        """
+        times_s = np.asarray(times_s, dtype=np.float64)
+        rntis = np.asarray(rntis)
+        n = len(times_s)
+        start = 0
+        while start < n:
+            if self._threshold != 1 or self._candidates:
+                for now, rnti in zip(times_s[start:].tolist(),
+                                     rntis[start:].tolist()):
+                    self.on_dci(now, rnti)
+                return
+            first_s = float(times_s[start])
+            floor = min([first_s] + [activity.last_seen_s for activity
+                                     in self._active.values()])
+            if first_s - floor > self._expiry_s:
+                self.on_dci(first_s, int(rntis[start]))
+                start += 1
+                continue
+            end = self._segment_end(times_s, start, floor)
+            self._ingest_segment(times_s[start:end], rntis[start:end])
+            start = end
+
+    def _segment_end(self, times_s: np.ndarray, start: int,
+                     floor: float) -> int:
+        """End of the longest run from ``start`` with ``t - floor <= expiry``."""
+        expiry = self._expiry_s
+        end = max(start + 1, int(np.searchsorted(times_s, floor + expiry,
+                                                 side="right")))
+        while end > start + 1 and not times_s[end - 1] - floor <= expiry:
+            end -= 1
+        while end < len(times_s) and times_s[end] - floor <= expiry:
+            end += 1
+        return end
+
+    def _ingest_segment(self, times_s: np.ndarray, rntis: np.ndarray) -> None:
+        """Bulk-ingest records among which nothing can expire."""
+        # The sweep fires at each record at least one window after the
+        # previous sweep; with no candidates it only moves the clock.
+        last, window = self._last_sweep_s, self._window_s
+        index = 0
+        while index < len(times_s):
+            at = max(index, int(np.searchsorted(times_s, last + window)))
+            while at > index and times_s[at - 1] - last >= window:
+                at -= 1
+            while at < len(times_s) and not times_s[at] - last >= window:
+                at += 1
+            if at == len(times_s):
+                break
+            last = float(times_s[at])
+            index = at + 1
+        self._last_sweep_s = last
+        valid = (rntis >= CRNTI_MIN) & (rntis <= CRNTI_MAX)
+        if not valid.all():
+            times_s, rntis = times_s[valid], rntis[valid]
+        if not len(rntis):
+            return
+        unique, first, counts = np.unique(rntis, return_index=True,
+                                          return_counts=True)
+        last_index = len(rntis) - 1 - np.unique(rntis[::-1],
+                                                return_index=True)[1]
+        order = np.argsort(first, kind="stable")
+        for rnti, first_s, last_s, count in zip(
+                unique[order].tolist(), times_s[first[order]].tolist(),
+                times_s[last_index[order]].tolist(),
+                counts[order].tolist()):
+            activity = self._active.get(rnti)
+            if activity is None:
+                # Threshold 1: the first hit confirms, the rest count.
+                self._confirm(rnti, first_s)
+                activity = self._active[rnti]
+                count -= 1
+            activity.last_seen_s = max(activity.last_seen_s, last_s)
+            activity.records += count
 
     def on_control(self, message: ControlMessage) -> None:
         """Feed one control-plane message."""

@@ -1,29 +1,35 @@
-"""Golden equivalence: the vectorized engine is bit-identical to legacy.
+"""Golden equivalence: the engine is bit-identical to the oracle loop.
 
-The array-backed :class:`~repro.lte.engine.VectorENodeB` replaced the
-per-UE object hot loop as the default simulator.  Its contract is not
-"statistically similar" but **bit-identical**: same seeds in, same trace
-bytes out, for every scheduler, every obfuscation knob, HARQ, capture
-loss/corruption, and RNTI refresh.  These goldens pin that contract:
+The size-adaptive, array-backed :class:`~repro.lte.enb.ENodeB` replaced
+the per-UE object loop, which survives only as a test oracle
+(:mod:`tests.oracle.legacy_enb`).  The contract is not "statistically
+similar" but **bit-identical**: same seeds in, same trace bytes out, for
+every scheduler, every obfuscation knob, HARQ, capture loss/corruption,
+and RNTI refresh — with the oracle's grants blind-decoded one encoded
+DCI at a time and the engine's handed off as columnar batches.  These
+goldens pin that contract:
 
-* single-cell scenario sweep, legacy vs vector, comparing every trace
+* single-cell scenario sweep, engine vs oracle, comparing every trace
   column plus capture/tracker observability;
-* the experiment driver path (``collect_trace``) under the
-  ``REPRO_SIM_ENGINE`` override, proving drivers need no changes;
+* the experiment driver path (``collect_trace``) with the oracle
+  patched in, proving drivers need no changes;
 * the sharded city simulator across shard counts {1, 2, 4} on both the
-  serial and the process ``ParallelMap`` backends.
+  serial and the process ``ParallelMap`` backends, and against the
+  oracle.
+
+The literal digests of the same output live in
+``tests/integration/test_frozen_goldens.py``.
 """
 
 import hashlib
+import inspect
 
-import numpy as np
 import pytest
 
 from repro.core.dataset import collect_trace
 from repro.lte.channel import ChannelProfile
 from repro.lte.city import CityScenario, run_city
 from repro.lte.dci import Direction
-from repro.lte.engine import ENGINE_ENV, VectorENodeB, resolve_engine
 from repro.lte.enb import ENodeB
 from repro.lte.network import LTENetwork
 from repro.lte.obfuscation import ObfuscationConfig
@@ -31,6 +37,8 @@ from repro.lte.scheduler import CrossTraffic
 from repro.operators import LAB
 from repro.runtime.parallel import ParallelMap
 from repro.sniffer.capture import CellSniffer
+from tests.oracle.legacy_enb import (LegacyENodeB, add_oracle_cell,
+                                     attach_oracle_sniffer, install_oracle)
 
 #: Scenario sweep: (scheduler, cell kwargs, capture profile kwargs).
 SCENARIOS = [
@@ -49,15 +57,20 @@ SCENARIOS = [
 ]
 
 
-def _simulate(engine, scheduler_name, cell_kwargs, capture_kwargs,
+def _simulate(oracle, scheduler_name, cell_kwargs, capture_kwargs,
               seed=42, duration_s=1.5):
     net = LTENetwork(seed=seed)
-    net.add_cell("golden", scheduler_name=scheduler_name, total_prb=50,
-                 engine=engine, **cell_kwargs)
     profile = (ChannelProfile(**capture_kwargs) if capture_kwargs
                else None)
-    sniffer = CellSniffer("golden", capture_profile=profile,
-                          seed=7).attach(net)
+    sniffer = CellSniffer("golden", capture_profile=profile, seed=7)
+    if oracle:
+        add_oracle_cell(net, "golden", scheduler_name=scheduler_name,
+                        total_prb=50, **cell_kwargs)
+        attach_oracle_sniffer(net, sniffer)
+    else:
+        net.add_cell("golden", scheduler_name=scheduler_name, total_prb=50,
+                     **cell_kwargs)
+        sniffer.attach(net)
     ues = [net.add_ue(name=f"ue{i}") for i in range(4)]
     rng_schedule = [(0.01, 0, Direction.DOWNLINK, 400_000),
                     (0.02, 1, Direction.DOWNLINK, 90_000),
@@ -89,49 +102,55 @@ def _trace_digest(sniffer):
                          SCENARIOS)
 def test_vector_engine_trace_golden(scheduler_name, cell_kwargs,
                                     capture_kwargs):
-    legacy_net, legacy_sniffer = _simulate("legacy", scheduler_name,
+    oracle_net, oracle_sniffer = _simulate(True, scheduler_name,
                                            cell_kwargs, capture_kwargs)
-    vector_net, vector_sniffer = _simulate("vector", scheduler_name,
+    engine_net, engine_sniffer = _simulate(False, scheduler_name,
                                            cell_kwargs, capture_kwargs)
-    assert _trace_digest(legacy_sniffer) == _trace_digest(vector_sniffer)
-    assert (legacy_sniffer.total_records > 0
+    assert _trace_digest(oracle_sniffer) == _trace_digest(engine_sniffer)
+    assert (oracle_sniffer.total_records > 0
             or not capture_kwargs)  # lossy runs may drop, clean must see
-    legacy_enb = legacy_net.cells["golden"].enb
-    vector_enb = vector_net.cells["golden"].enb
-    assert isinstance(vector_enb, VectorENodeB)
-    assert type(legacy_enb) is ENodeB
-    assert vector_enb.grants_issued == legacy_enb.grants_issued
-    assert vector_enb.bytes_granted == legacy_enb.bytes_granted
-    assert (vector_enb.harq_retransmissions
-            == legacy_enb.harq_retransmissions)
-    assert (vector_sniffer.tracker.active_rntis()
-            == legacy_sniffer.tracker.active_rntis())
+    oracle_enb = oracle_net.cells["golden"].enb
+    engine_enb = engine_net.cells["golden"].enb
+    assert type(engine_enb) is ENodeB
+    assert type(oracle_enb) is LegacyENodeB
+    assert engine_enb.grants_issued == oracle_enb.grants_issued
+    assert engine_enb.bytes_granted == oracle_enb.bytes_granted
+    assert (engine_enb.harq_retransmissions
+            == oracle_enb.harq_retransmissions)
+    assert engine_enb.obfuscation_stats == oracle_enb.obfuscation_stats
+    assert (engine_sniffer.tracker.active_rntis()
+            == oracle_sniffer.tracker.active_rntis())
+    assert (engine_sniffer.decoder.capture_stats
+            == oracle_sniffer.decoder.capture_stats)
 
 
-def test_engine_env_override_reaches_experiment_drivers(monkeypatch):
-    """``collect_trace`` is engine-agnostic: the env knob decides."""
+def _trace_bytes(trace):
+    return hashlib.sha256(
+        trace.times_s.tobytes() + trace.rntis.tobytes()
+        + trace.directions.tobytes() + trace.tbs_bytes.tobytes()
+    ).hexdigest()
+
+
+def test_collect_trace_matches_oracle(monkeypatch):
+    """``collect_trace`` runs unchanged on the engine and on the oracle."""
     monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-    digests = {}
-    for engine in ("legacy", "vector"):
-        monkeypatch.setenv(ENGINE_ENV, engine)
-        trace = collect_trace("Netflix", operator=LAB, duration_s=6.0,
-                              seed=77)
-        digests[engine] = hashlib.sha256(
-            trace.times_s.tobytes() + trace.rntis.tobytes()
-            + trace.directions.tobytes()
-            + trace.tbs_bytes.tobytes()).hexdigest()
-        assert len(trace) > 0
-    assert digests["legacy"] == digests["vector"]
+    engine_trace = collect_trace("Netflix", operator=LAB, duration_s=6.0,
+                                 seed=77)
+    with monkeypatch.context() as patch:
+        install_oracle(patch)
+        oracle_trace = collect_trace("Netflix", operator=LAB,
+                                     duration_s=6.0, seed=77)
+    assert len(engine_trace) > 0
+    assert _trace_bytes(engine_trace) == _trace_bytes(oracle_trace)
 
 
-def test_resolve_engine_precedence(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
-    assert resolve_engine() is VectorENodeB
-    monkeypatch.setenv(ENGINE_ENV, "legacy")
-    assert resolve_engine() is ENodeB
-    assert resolve_engine("vector") is VectorENodeB  # explicit beats env
-    with pytest.raises(ValueError):
-        resolve_engine("warp")
+def test_no_engine_or_lane_knob(monkeypatch):
+    """One engine: nothing selects an engine or a grant lane."""
+    assert "engine" not in inspect.signature(LTENetwork.add_cell).parameters
+    assert "engine" not in inspect.signature(run_city).parameters
+    monkeypatch.setenv("REPRO_SIM_ENGINE", "legacy")
+    net = LTENetwork(seed=1)
+    assert type(net.add_cell("c").enb) is ENodeB
 
 
 def _city_digest(result):
@@ -172,7 +191,9 @@ class TestShardedCityGoldens:
                           shards=shards)
         assert _city_digest(result) == reference
 
-    def test_legacy_engine_city_matches(self, reference):
-        result = run_city(self.SCENARIO, ParallelMap(workers=1), shards=2,
-                          engine="legacy")
+    def test_legacy_engine_city_matches(self, reference, monkeypatch):
+        install_oracle(monkeypatch)
+        result = run_city(self.SCENARIO,
+                          ParallelMap(workers=1, backend="serial"),
+                          shards=2)
         assert _city_digest(result) == reference

@@ -1,4 +1,8 @@
-"""Tests for the MAC schedulers: conservation, fairness, cross traffic."""
+"""Tests for the MAC schedulers: conservation, fairness, cross traffic.
+
+Each behavioural test runs the production scheduler through both lanes
+(``allocate_scalar`` and ``allocate_batch``) via the oracle adapter.
+"""
 
 import random
 
@@ -7,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lte.dci import Direction
-from repro.lte.scheduler import (CrossTraffic, Demand, MaxCQIScheduler,
-                                 ProportionalFairScheduler,
-                                 RoundRobinScheduler, make_scheduler,
-                                 scheduler_names)
+from repro.lte.scheduler import CrossTraffic, make_scheduler, scheduler_names
+from repro.lte.vecsched import (MaxCQIScheduler, ProportionalFairScheduler,
+                                RoundRobinScheduler)
+from tests.oracle.schedulers import Demand, run_lane
+
+LANES = ["scalar", "array"]
 
 
 def demand(rnti, backlog=10_000, mcs=15, direction=Direction.DOWNLINK):
@@ -27,6 +33,7 @@ demand_lists = st.lists(
     unique_by=lambda d: d.rnti)
 
 all_schedulers = st.sampled_from(list(scheduler_names()))
+all_lanes = st.sampled_from(LANES)
 
 
 class TestDemandValidation:
@@ -48,47 +55,57 @@ class TestRegistry:
 
 class TestRoundRobin:
     def test_empty_demands(self):
-        assert RoundRobinScheduler().allocate([], 50) == []
+        for lane in LANES:
+            assert run_lane(RoundRobinScheduler(), [], 50, lane) == []
 
     def test_single_demand_served(self):
-        grants = RoundRobinScheduler().allocate([demand(1, 100)], 50)
-        assert len(grants) == 1
-        assert grants[0].tbs_bytes >= 100
+        for lane in LANES:
+            grants = run_lane(RoundRobinScheduler(), [demand(1, 100)], 50,
+                              lane)
+            assert len(grants) == 1
+            assert grants[0].tbs_bytes >= 100
 
     def test_rotation_changes_first_served(self):
-        scheduler = RoundRobinScheduler()
-        demands = [demand(1, 10**6), demand(2, 10**6), demand(3, 10**6)]
-        first_round = scheduler.allocate(demands, 10)
-        second_round = scheduler.allocate(demands, 10)
-        assert first_round[0].rnti != second_round[0].rnti
+        for lane in LANES:
+            scheduler = RoundRobinScheduler()
+            demands = [demand(1, 10**6), demand(2, 10**6),
+                       demand(3, 10**6)]
+            first_round = run_lane(scheduler, demands, 10, lane)
+            second_round = run_lane(scheduler, demands, 10, lane)
+            assert first_round[0].rnti != second_round[0].rnti
 
     def test_every_ue_eventually_served(self):
-        scheduler = RoundRobinScheduler()
-        demands = [demand(i, 10**7) for i in range(1, 6)]
-        served = set()
-        for _ in range(10):
-            for grant in scheduler.allocate(demands, 8):
-                served.add(grant.rnti)
-        assert served == {1, 2, 3, 4, 5}
+        for lane in LANES:
+            scheduler = RoundRobinScheduler()
+            demands = [demand(i, 10**7) for i in range(1, 6)]
+            served = set()
+            for _ in range(10):
+                for grant in run_lane(scheduler, demands, 8, lane):
+                    served.add(grant.rnti)
+            assert served == {1, 2, 3, 4, 5}
 
 
 class TestProportionalFair:
     def test_recently_served_ue_deprioritised(self):
-        scheduler = ProportionalFairScheduler(averaging_window=5.0)
-        hog = demand(1, 10**7, mcs=28)
-        other = demand(2, 10**7, mcs=28)
-        # Serve only the hog for a while (other absent).
-        for _ in range(20):
-            scheduler.allocate([hog], 10)
-        # When the other UE appears, it should be ranked first.
-        grants = scheduler.allocate([hog, other], 10)
-        assert grants[0].rnti == 2
+        for lane in LANES:
+            scheduler = ProportionalFairScheduler(averaging_window=5.0)
+            hog = demand(1, 10**7, mcs=28)
+            other = demand(2, 10**7, mcs=28)
+            # Serve only the hog for a while (other absent).
+            for _ in range(20):
+                run_lane(scheduler, [hog], 10, lane)
+            # When the other UE appears, it should be ranked first.
+            grants = run_lane(scheduler, [hog, other], 10, lane)
+            assert grants[0].rnti == 2
 
     def test_forget_clears_state(self):
-        scheduler = ProportionalFairScheduler()
-        scheduler.allocate([demand(7, 1_000)], 50)
-        scheduler.forget(7)
-        assert 7 not in scheduler._avg_rate
+        for lane in LANES:
+            scheduler = ProportionalFairScheduler()
+            run_lane(scheduler, [demand(7, 1_000)], 50, lane)
+            assert 7 in scheduler._members and scheduler._avg[7] != 1.0
+            scheduler.forget(7)
+            assert 7 not in scheduler._members
+            assert scheduler._avg[7] == 1.0
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
@@ -97,46 +114,49 @@ class TestProportionalFair:
 
 class TestMaxCQI:
     def test_best_channel_first(self):
-        scheduler = MaxCQIScheduler()
-        demands = [demand(1, 10**7, mcs=5), demand(2, 10**7, mcs=25)]
-        grants = scheduler.allocate(demands, 5)
-        assert grants[0].rnti == 2
+        for lane in LANES:
+            scheduler = MaxCQIScheduler()
+            demands = [demand(1, 10**7, mcs=5), demand(2, 10**7, mcs=25)]
+            grants = run_lane(scheduler, demands, 5, lane)
+            assert grants[0].rnti == 2
 
 
 class TestSchedulerInvariants:
     @settings(max_examples=60)
     @given(all_schedulers, demand_lists,
-           st.integers(min_value=1, max_value=110))
-    def test_property_prb_conservation(self, name, demands, total_prb):
-        grants = make_scheduler(name).allocate(demands, total_prb)
+           st.integers(min_value=1, max_value=110), all_lanes)
+    def test_property_prb_conservation(self, name, demands, total_prb,
+                                       lane):
+        grants = run_lane(make_scheduler(name), demands, total_prb, lane)
         assert sum(g.n_prb for g in grants) <= total_prb
 
     @settings(max_examples=60)
     @given(all_schedulers, demand_lists,
-           st.integers(min_value=1, max_value=110))
+           st.integers(min_value=1, max_value=110), all_lanes)
     def test_property_at_most_one_grant_per_rnti(self, name, demands,
-                                                 total_prb):
-        grants = make_scheduler(name).allocate(demands, total_prb)
+                                                 total_prb, lane):
+        grants = run_lane(make_scheduler(name), demands, total_prb, lane)
         rntis = [g.rnti for g in grants]
         assert len(rntis) == len(set(rntis))
 
     @settings(max_examples=60)
     @given(all_schedulers, demand_lists,
-           st.integers(min_value=1, max_value=110))
+           st.integers(min_value=1, max_value=110), all_lanes)
     def test_property_grants_only_for_demanding_ues(self, name, demands,
-                                                    total_prb):
-        grants = make_scheduler(name).allocate(demands, total_prb)
+                                                    total_prb, lane):
+        grants = run_lane(make_scheduler(name), demands, total_prb, lane)
         demanding = {d.rnti for d in demands}
         assert all(g.rnti in demanding for g in grants)
 
     @settings(max_examples=40)
-    @given(all_schedulers, demand_lists)
-    def test_property_ample_capacity_serves_everyone(self, name, demands):
+    @given(all_schedulers, demand_lists, all_lanes)
+    def test_property_ample_capacity_serves_everyone(self, name, demands,
+                                                     lane):
         # With 110 PRB and few small demands, every UE gets a grant.
         small = [Demand(rnti=d.rnti, direction=d.direction,
                         backlog_bytes=min(d.backlog_bytes, 50), mcs=20)
                  for d in demands[:4]]
-        grants = make_scheduler(name).allocate(small, 110)
+        grants = run_lane(make_scheduler(name), small, 110, lane)
         assert {g.rnti for g in grants} == {d.rnti for d in small}
 
 
