@@ -104,6 +104,35 @@ class TestServeCLI:
                      "--model", str(campaign / "model.json")]) == 0
         assert "fused" in capsys.readouterr().out
 
+    def test_serve_sim_workers_fan_out_byte_identical(self, campaign,
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
+        from repro import runtime
+        from repro.runtime.parallel import ParallelMap
+
+        fan_outs = []
+        map_batched = ParallelMap.map_batched
+
+        def spy(mapper, fn, items, *args, **kwargs):
+            items = list(items)
+            fan_outs.append((mapper.workers, mapper.backend, len(items)))
+            return map_batched(mapper, fn, items, *args, **kwargs)
+
+        monkeypatch.setattr(ParallelMap, "map_batched", spy)
+        outputs = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"verdicts-{workers}.jsonl"
+            with runtime.overrides():
+                assert main(["serve", "--sim", "--sim-cells", "2",
+                             "--sim-epochs", "1", "--workers", workers,
+                             "--model", str(campaign / "model.json"),
+                             "--out", str(out)]) == 0
+            outputs[workers] = out.read_bytes()
+        capsys.readouterr()
+        assert outputs["1"] and outputs["1"] == outputs["2"]
+        # One epoch: one shard on the serial map, two on the process pool.
+        assert fan_outs == [(1, "serial", 1), (2, "process", 2)]
+
     def test_serve_missing_source_is_bad_input(self, campaign, tmp_path):
         assert main(["serve", "--model", str(campaign / "model.json"),
                      "--data", str(tmp_path / "none.npz")]) == 2
