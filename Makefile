@@ -61,9 +61,12 @@ lint-changed:
 bench-lint:
 	$(PYTHON) benchmarks/bench_lint.py
 
-## Simulator engine benchmark: legacy vs vectorized TTI loop plus the
-## sharded city scaling sweep; writes BENCH_simulator.json and fails
-## if the speedup drops below its floor (cf. `lte-fingerprint bench sim`).
+## Simulator engine benchmark: the TTI engine vs the object oracle on a
+## saturated cell, the UEs-per-cell lane crossover sweep, a one-UE Lab
+## campaign and the sharded city scaling sweep; writes
+## BENCH_simulator.json and fails if the speedup drops below its floor
+## or the one-UE capture falls behind the oracle
+## (cf. `lte-fingerprint bench sim`).
 bench-sim:
 	$(PYTHON) benchmarks/bench_simulator.py
 

@@ -141,11 +141,11 @@ def cqi_to_mcs(cqi: int) -> int:
     return CQI_TO_MCS[cqi]
 
 
-# --- vectorised lookup views (the array-backed engine's tables) -------------
+# --- vectorised lookup views (the array lane's tables) -----------------------
 #
-# The batched TTI loop (:mod:`repro.lte.vecsched`, :mod:`repro.lte.engine`)
-# reuses the exact tables above as numpy lookup arrays, so scalar and
-# vector paths can never disagree on a single TBS value.  All arrays are
+# The engine's array lane (:mod:`repro.lte.vecsched`, :mod:`repro.lte.enb`)
+# reuses the exact tables above as numpy lookup arrays, so the scalar and
+# array lanes can never disagree on a single TBS value.  All arrays are
 # built once per process and marked read-only.
 
 
