@@ -233,3 +233,41 @@ class TestPaging:
         enb.page(ue.tmsi)
         assert isinstance(messages[0], PagingMessage)
         assert messages[0].s_tmsi == ue.tmsi
+
+
+class TestGrantHandOff:
+    def test_buffer_is_bounded(self, setup, monkeypatch):
+        from repro.lte import enb as enb_module
+
+        monkeypatch.setattr(enb_module, "FLUSH_GRANTS", 8)
+        clock, enb, ue = setup
+        batches = []
+        enb.grant_observers.append(batches.append)
+        enb.connect(ue)
+        enb.enqueue(ue, Direction.DOWNLINK, 5_000_000)
+        buffered = []
+        for tti in range(1, 400):
+            clock.schedule(tti * 1_000 + 500,
+                           lambda: buffered.append(len(enb._rows)))
+        clock.run_until(SECOND_US)
+        assert enb.grants_issued > 100
+        assert max(buffered) < 8 * 6
+        assert max(len(batch) for batch in batches) <= 8
+        assert sum(len(batch) for batch in batches) == enb.grants_issued
+        assert not enb._rows               # flushed when the clock rests
+
+    def test_grants_and_control_arrive_in_airing_order(self, setup):
+        clock, enb, ue = setup
+        feed = []
+        enb.grant_observers.append(
+            lambda batch: feed.extend(batch.time_us.tolist()))
+        enb.control_observers.append(
+            lambda message: feed.append(message.time_us))
+        enb.connect(ue)
+        enb.enqueue(ue, Direction.DOWNLINK, 80_000)
+        clock.run_until(2 * SECOND_US)
+        enb.enqueue(ue, Direction.UPLINK, 40_000)
+        clock.run_until(20 * SECOND_US)      # inactivity release
+        assert not ue.is_connected
+        assert len(feed) > 6
+        assert feed == sorted(feed)
